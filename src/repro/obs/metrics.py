@@ -87,22 +87,6 @@ class LatencyHistogram:
         self.max_s = max(self.max_s, other.max_s)
         return self
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "LatencyHistogram":
-        """Rebuild a histogram from its :meth:`as_dict` export.
-
-        The sparse bin dump carries the full distribution, so merged
-        fleet percentiles computed from per-shard exports are as good as
-        ones computed from the live histograms.
-        """
-        histogram = cls()
-        for index, count in data.get("bins", {}).items():
-            histogram.counts[int(index)] = int(count)
-        histogram.total = int(data.get("count", 0))
-        histogram.sum_s = float(data.get("mean_ms", 0.0)) * histogram.total / 1e3
-        histogram.max_s = float(data.get("max_ms", 0.0)) / 1e3
-        return histogram
-
     def as_dict(self) -> dict:
         return {
             "count": self.total,

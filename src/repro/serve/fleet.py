@@ -22,8 +22,8 @@ arrival streams, engine memo, and plan caches:
   run over a session set *is* the union of N single-shard runs — each
   shard's ``SERVE_METRICS.json`` is byte-identical to running its
   session slice through a standalone service, regardless of backend or
-  worker count. The merged fleet metrics are a pure function of the
-  per-shard metric dicts (:func:`merge_shard_metrics`).
+  worker count. The merged fleet metrics are a fold of the shards'
+  telemetry plus their per-shard dicts (:func:`merge_shard_metrics`).
 """
 
 from __future__ import annotations
@@ -33,15 +33,16 @@ import hashlib
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
+from functools import reduce
 from pathlib import Path
 
 from repro.engine import Engine
 from repro.errors import ConfigurationError, ServeError
-from repro.obs.metrics import LatencyHistogram, MetricsRegistry
-from repro.obs.tracer import CLOCK_VIRTUAL, Span, Trace
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracer import CLOCK_VIRTUAL, Trace
 from repro.serve.loadgen import LoadProfile
 from repro.serve.service import LocalizationService, ServeReport
-from repro.serve.telemetry import METRICS_SCHEMA_VERSION, export_metrics
+from repro.serve.telemetry import METRICS_SCHEMA_VERSION, Telemetry, export_metrics
 
 DEFAULT_VNODES = 64
 
@@ -195,18 +196,10 @@ class FleetReport:
         for spec, report in zip(self.specs, self.shard_reports):
             if report is None or report.trace is None:
                 continue
-            for span in report.trace.spans:
-                trace.spans.append(
-                    Span(
-                        name=span.name,
-                        category=span.category,
-                        start_s=span.start_s,
-                        duration_s=span.duration_s,
-                        depth=span.depth,
-                        track=span.track,
-                        attributes={**span.attributes, "shard": spec.shard_id},
-                    )
-                )
+            trace.spans.extend(
+                replace(span, attributes={**span.attributes, "shard": spec.shard_id})
+                for span in report.trace.spans
+            )
         return trace
 
     def write_trace(self, path: str | Path) -> Path:
@@ -217,59 +210,12 @@ class FleetReport:
 
     def to_registry(self) -> MetricsRegistry:
         """Fleet-level counters/gauges/histograms as a
-        :class:`repro.obs.MetricsRegistry` (canonical OBS_METRICS.json)."""
-        merged = self.metrics
-        registry = MetricsRegistry()
-        totals = merged["totals"]
-        registry.counter(
-            "serve_windows_served_total", "windows completed"
-        ).inc(totals["windows_served"])
-        registry.counter(
-            "serve_windows_shed_total", "windows shed by admission control"
-        ).inc(totals["windows_shed"])
-        registry.counter(
-            "serve_windows_degraded_total", "windows served at reduced effort"
-        ).inc(totals["windows_degraded"])
-        registry.counter(
-            "serve_deadline_misses_total", "windows completed past deadline"
-        ).inc(totals["deadline_misses"])
-        registry.counter("serve_errors_total", "solver errors").inc(totals["errors"])
-        registry.counter(
-            "serve_reconfigurations_total", "partial-reconfiguration swaps"
-        ).inc(totals["reconfigurations"])
-        registry.counter(
-            "serve_reconfig_energy_joules_total",
-            "energy spent on partial reconfiguration",
-        ).inc(totals["reconfig_energy_j"])
-        for entry in merged["configs"]:
-            registry.counter(
-                f"serve_config_windows_served_total:{entry['config_id']}",
-                f"windows served on design point {entry['config_id']}",
-            ).inc(entry["windows_served"])
-            registry.counter(
-                f"serve_config_energy_joules_total:{entry['config_id']}",
-                f"window energy on design point {entry['config_id']}",
-            ).inc(entry["energy_j"])
+        :class:`repro.obs.MetricsRegistry` (canonical OBS_METRICS.json):
+        the shards' folded telemetry plus the shard count."""
+        registry = fold_telemetry(self.shard_reports).to_registry()
         registry.gauge("serve_num_shards", "shards in the fleet").set(
-            merged["fleet"]["num_shards"]
+            self.metrics["fleet"]["num_shards"]
         )
-        registry.gauge(
-            "serve_queue_depth_max", "peak queue depth across shards"
-        ).set(merged["queue"]["depth_max"])
-        registry.gauge(
-            "serve_queue_depth_mean", "time-weighted mean queue depth"
-        ).set(merged["queue"]["depth_time_weighted_mean"])
-        registry.gauge("serve_makespan_seconds", "virtual makespan").set(
-            totals["makespan_s"]
-        )
-        for name, key in (
-            ("serve_latency_seconds", "latency_ms"),
-            ("serve_queue_wait_seconds", "queue_wait_ms"),
-            ("serve_service_seconds", "service_ms"),
-        ):
-            registry.register_histogram(
-                name, LatencyHistogram.from_dict(merged[key])
-            )
         return registry
 
     def write_obs_metrics(self, path: str | Path) -> Path:
@@ -325,151 +271,68 @@ class FleetReport:
         return "\n".join(lines)
 
 
+def fold_telemetry(shard_reports: list[ServeReport | None]) -> Telemetry:
+    """The shards' live telemetry folded into one fleet-level value."""
+    return reduce(
+        Telemetry.merge,
+        (report.telemetry for report in shard_reports if report is not None),
+        Telemetry(),
+    )
+
+
 def merge_shard_metrics(
-    shard_metrics: list[dict],
+    shard_reports: list[ServeReport],
     profile: LoadProfile,
     num_shards: int,
     drained: frozenset[int] | set[int] = frozenset(),
 ) -> dict:
-    """Fold per-shard metric dicts into one fleet-level dict.
+    """Fold per-shard reports into one fleet-level metrics dict.
 
-    Pure and deterministic: the merged file is a function of the shard
-    files alone, so merging the outputs of N standalone runs gives the
-    byte-identical fleet artifact. Shapes mirror the per-shard file
-    (``totals``/``latency_ms``/``queue``/...), with the full per-shard
-    dicts preserved under ``"shards"``.
+    The telemetry sections (``totals``/``latency_ms``/``queue``/...) are
+    the shards' folded :class:`Telemetry` through the same serializer a
+    single service uses. Only the fleet-only sections are assembled
+    here: the shared run identity, scheduler and cache sums, instances
+    tagged by shard, the ``fleet`` summary, and the full per-shard dicts
+    under ``"shards"``. Pure and deterministic: merging the reports of
+    N standalone shard runs gives the byte-identical fleet artifact.
     """
-    if not shard_metrics:
+    if not shard_reports:
         raise ServeError("cannot merge zero shard metric sets")
+    shard_metrics = [report.metrics for report in shard_reports]
 
-    def total(key: str) -> float:
-        return sum(m["totals"][key] for m in shard_metrics)
-
-    served = total("windows_served")
-    shed = total("windows_shed")
-    makespan = max(m["totals"]["makespan_s"] for m in shard_metrics)
-
-    def merge_histograms(key: str) -> dict:
-        merged = LatencyHistogram()
-        for m in shard_metrics:
-            merged.merge(LatencyHistogram.from_dict(m[key]))
-        return merged.as_dict()
-
-    occupancy: dict[str, int] = {}
-    for m in shard_metrics:
-        for size, count in m["batches"]["occupancy_histogram"].items():
-            occupancy[size] = occupancy.get(size, 0) + count
-    batches = sum(occupancy.values())
-    batched_windows = sum(int(size) * count for size, count in occupancy.items())
-
-    # Shards run concurrently in virtual time, so the fleet's
-    # time-weighted mean depth over [0, makespan] is the sum of each
-    # shard's depth integral over the shared horizon.
-    depth_integral = sum(
-        m["queue"]["depth_time_weighted_mean"] * m["totals"]["makespan_s"]
-        for m in shard_metrics
-    )
-
-    sessions = sorted(
-        (entry for m in shard_metrics for entry in m["sessions"]),
-        key=lambda entry: entry["session_id"],
-    )
-    instances = [
-        {"shard_id": m["shard"]["shard_id"], **entry}
-        for m in shard_metrics
-        for entry in m["instances"]
-    ]
-
-    # Per-config counters aggregate by the stable config id: the same
-    # design point on different shards is one fleet-level line, and every
-    # counter (windows, busy time, window energy, reconfig time/energy)
-    # sums exactly — the conservation property tests/test_serve_fleet.py
-    # holds across shard counts.
-    configs: dict[str, dict] = {}
-    for m in shard_metrics:
-        for entry in m.get("configs", []):
-            merged_entry = configs.setdefault(
-                entry["config_id"],
-                {
-                    "config_id": entry["config_id"],
-                    "windows_served": 0,
-                    "busy_seconds": 0.0,
-                    "energy_j": 0.0,
-                    "reconfigurations": 0,
-                    "reconfig_seconds": 0.0,
-                    "reconfig_energy_j": 0.0,
-                },
-            )
-            for key in (
-                "windows_served",
-                "busy_seconds",
-                "energy_j",
-                "reconfigurations",
-                "reconfig_seconds",
-                "reconfig_energy_j",
-            ):
-                merged_entry[key] += entry[key]
+    def total(section: str, key: str) -> int:
+        return sum(m[section][key] for m in shard_metrics)
 
     first = shard_metrics[0]
     return {
+        **fold_telemetry(shard_reports).as_dict(),
         "schema": METRICS_SCHEMA_VERSION,
         "profile": asdict(profile),
         "fidelity": first["fidelity"],
         "design": first["design"],
-        "totals": {
-            "windows_served": served,
-            "windows_shed": shed,
-            "windows_degraded": total("windows_degraded"),
-            "deadline_misses": total("deadline_misses"),
-            "errors": total("errors"),
-            "shed_fraction": shed / (served + shed) if served + shed else 0.0,
-            "makespan_s": makespan,
-            "throughput_wps": served / makespan if makespan else 0.0,
-            "energy_j": total("energy_j"),
-            "reconfigurations": total("reconfigurations"),
-            "reconfig_energy_j": total("reconfig_energy_j"),
-        },
-        "latency_ms": merge_histograms("latency_ms"),
-        "queue_wait_ms": merge_histograms("queue_wait_ms"),
-        "service_ms": merge_histograms("service_ms"),
-        "queue": {
-            "depth_max": max(m["queue"]["depth_max"] for m in shard_metrics),
-            "depth_time_weighted_mean": (
-                depth_integral / makespan if makespan else 0.0
-            ),
-        },
-        "batches": {
-            "count": batches,
-            "mean_occupancy": batched_windows / batches if batches else 0.0,
-            "occupancy_histogram": {
-                size: occupancy[size]
-                for size in sorted(occupancy, key=int)
-            },
-        },
-        "sessions": sessions,
-        "configs": [configs[cid] for cid in sorted(configs)],
         # Each shard solves its own instance slice; the fleet-level view
-        # is the merged "configs" list above (and the per-shard solutions
+        # is the merged "configs" section (and the per-shard solutions
         # under "shards"), so only the forecast name is lifted here.
         "portfolio": {"name": first["portfolio"]["name"]},
         # Every shard resolves the same frozen artifact (the profile
         # names it), so lifting the first shard's identity is exact.
-        "policy": first.get("policy", {"name": ""}),
+        "policy": first["policy"],
         "scheduler": {
-            "submitted": sum(m["scheduler"]["submitted"] for m in shard_metrics),
-            "accepted": sum(m["scheduler"]["accepted"] for m in shard_metrics),
-            "degraded": sum(m["scheduler"]["degraded"] for m in shard_metrics),
-            "shed": sum(m["scheduler"]["shed"] for m in shard_metrics),
+            **{
+                key: total("scheduler", key)
+                for key in ("submitted", "accepted", "degraded", "shed")
+            },
             "max_queue": profile.max_queue,
             "backpressure": profile.backpressure,
             "batch_size": profile.batch_size,
         },
-        "instances": instances,
+        "instances": [
+            {"shard_id": m["shard"]["shard_id"], **entry}
+            for m in shard_metrics
+            for entry in m["instances"]
+        ],
         "cache": {
-            "memo_hits": sum(m["cache"]["memo_hits"] for m in shard_metrics),
-            "distinct_artifacts": sum(
-                m["cache"]["distinct_artifacts"] for m in shard_metrics
-            ),
+            key: total("cache", key) for key in ("memo_hits", "distinct_artifacts")
         },
         "fleet": {
             "num_shards": num_shards,
@@ -562,7 +425,7 @@ class FleetCoordinator:
             reports_by_shard.get(spec.shard_id) for spec in self.specs
         ]
         merged = merge_shard_metrics(
-            [r.metrics for r in shard_reports if r is not None],
+            [r for r in shard_reports if r is not None],
             self.profile,
             self.num_shards,
             drained=self.drained,

@@ -11,8 +11,8 @@ regimes, decided per submission from the instantaneous queue depth:
 * depth >= ``max_queue``        -> **SHED** (the window is never
   enqueued; the session dead-reckons through it).
 
-Dispatch pops up to ``batch_size`` requests in earliest-deadline-first
-order to form one micro-batch per free accelerator instance. Ordering is
+Dispatch pops up to ``batch_size`` requests per free accelerator
+instance in earliest-deadline-first order. Ordering is
 total (deadline, then global submission sequence number), so scheduling
 decisions are bit-deterministic.
 """
@@ -116,17 +116,12 @@ class Scheduler:
         self.submitted += 1
         self.shed += 1
 
-    def next_batch(self) -> list[WindowRequest]:
-        """Pop up to ``batch_size`` requests, earliest deadline first."""
-        return self.next_requests(self.batch_size)
-
     def next_requests(self, limit: int) -> list[WindowRequest]:
         """Pop up to ``limit`` requests, earliest deadline first.
 
-        The config-aware router drains one fleet-wide slice per dispatch
-        (``batch_size`` per free instance) and assigns each request to an
-        instance itself, so it needs the EDF pop decoupled from the
-        per-instance batch cap.
+        Dispatch drains one fleet-wide slice per call (``batch_size``
+        per free instance) and routes each request to an instance
+        itself, so the EDF pop is decoupled from the per-instance cap.
         """
         batch: list[WindowRequest] = []
         while self._heap and len(batch) < limit:

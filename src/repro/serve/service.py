@@ -17,10 +17,11 @@ Per event the loop does three things, always in the same order:
    instance);
 2. **pump**: every session that is READY submits its oldest pending
    window through admission control (shed / degrade / accept);
-3. **dispatch**: every idle instance takes one earliest-deadline-first
-   micro-batch off the queue; the batch's optimizations execute
-   concurrently in wall time while their virtual completion times are
-   laid out back-to-back on the instance.
+3. **dispatch**: one earliest-deadline-first slice (``batch_size``
+   windows per idle instance) comes off the queue; its optimizations
+   execute concurrently in wall time, the profile's route picks an idle
+   instance for each window, and each instance's virtual completion
+   times are laid out back-to-back.
 
 Sessions never have more than one window in flight (window ``n+1``
 linearizes around ``n``'s estimate), which is also what makes the
@@ -42,7 +43,7 @@ from repro.obs.tracer import CLOCK_VIRTUAL, Trace
 from repro.portfolio.router import choose_instance, drift_candidate
 from repro.runtime.controller import RuntimeController
 from repro.runtime.profiler import IterationTable
-from repro.serve.accelerator import AcceleratorInstance, make_pool
+from repro.serve.accelerator import AcceleratorInstance, ServiceCharge, make_pool
 from repro.serve.backend import make_backend
 from repro.serve.loadgen import (
     LoadProfile,
@@ -51,7 +52,7 @@ from repro.serve.loadgen import (
     session_sequence_config,
 )
 from repro.serve.scheduler import Admission, Scheduler
-from repro.serve.session import Session, SessionState, WindowRequest
+from repro.serve.session import Session, SessionState, WindowOutcome, WindowRequest
 from repro.serve.telemetry import (
     METRICS_SCHEMA_VERSION,
     Telemetry,
@@ -485,189 +486,36 @@ class LocalizationService:
     # ------------------------------------------------------------------
 
     def _dispatch(self, t: float) -> None:
-        if self.profile.route == "marginal":
-            self._dispatch_marginal(t)
-        else:
-            self._dispatch_fifo(t)
+        """Drain one EDF slice onto the free instances.
 
-    def _dispatch_fifo(self, t: float) -> None:
-        assignments: list[tuple[AcceleratorInstance, list[WindowRequest]]] = []
-        for instance in self.pool:
-            if instance.free_at > t or len(self.scheduler) == 0:
-                continue
-            batch = self.scheduler.next_batch()
-            if batch:
-                assignments.append((instance, batch))
-        if not assignments:
-            return
-        self.telemetry.sample_queue_depth(t, len(self.scheduler))
-
-        # Execute every job of every batch concurrently in wall time;
-        # virtual-time accounting below consumes results in submission
-        # order, so worker interleaving cannot change the outcome.
-        jobs = [request for _, batch in assignments for request in batch]
-        results = self._backend.run_jobs(jobs)
-        result_by_seq = {outcome.seq: outcome for outcome in results}
-
-        for instance, batch in assignments:
-            self.telemetry.record_batch(len(batch))
-            instance.batches += 1
-            cursor = t
-            for request in batch:
-                session = self.sessions[request.session_id]
-                metrics = self.telemetry.session(session.session_id)
-                outcome = result_by_seq[request.seq]
-                if not outcome.ok:
-                    self.telemetry.errors += 1
-                    session.on_complete()
-                    session.maybe_drain()
-                    continue
-                # A portfolio pool is heterogeneous: windows run on the
-                # instance's own deployed config at that config's power,
-                # exactly as the marginal route accounts them. The
-                # homogeneous pool keeps the runtime-reconfiguration
-                # tier's request-level config and gated power.
-                portfolio = self.portfolio_solution is not None
-                charge = instance.charge(
-                    outcome.stats,
-                    instance.config if portfolio else request.config,
-                    request.iterations,
-                    request.reconfigured,
-                    problem=session.last_problem,
-                )
-                completion = cursor + charge.total_s
-                energy = charge.compute_s * (
-                    DEFAULT_POWER_MODEL.power(instance.config)
-                    if portfolio
-                    else self.reconfig.gated_power(request.iterations)
-                )
-                self.trace.add_span(
-                    "queue_wait",
-                    category="serve",
-                    start_s=request.ready_time,
-                    duration_s=t - request.ready_time,
-                    depth=1,
-                    session=request.session_id,
-                    frame=request.frame_id,
-                )
-                if request.reconfigured:
-                    # The reconfiguration rides the host link (the +3
-                    # config bytes), so mark it with the transfer window.
-                    self.trace.add_span(
-                        "reconfig",
-                        category="serve",
-                        start_s=cursor,
-                        duration_s=charge.transfer_s,
-                        depth=1,
-                        session=request.session_id,
-                        nd=request.config.nd,
-                        nm=request.config.nm,
-                        s=request.config.s,
-                    )
-                self.trace.add_span(
-                    "service",
-                    category="serve",
-                    start_s=cursor,
-                    duration_s=charge.total_s,
-                    depth=1,
-                    session=request.session_id,
-                    frame=request.frame_id,
-                    iterations=request.iterations,
-                    degraded=request.degraded,
-                )
-                self.telemetry.record_window(
-                    metrics,
-                    ready_time=request.ready_time,
-                    dispatch_time=t,
-                    completion_time=completion,
-                    deadline=request.deadline,
-                    iterations=request.iterations,
-                    degraded=request.degraded,
-                    reconfigured=request.reconfigured,
-                    energy_j=energy,
-                    drift_m=outcome.newest_position_error,
-                    config_id=instance.config_id,
-                    service_s=charge.total_s,
-                )
-                self._account_service(
-                    session, charge.total_s, outcome.newest_position_error
-                )
-                instance.occupy(cursor, charge.total_s)
-                cursor = completion
-                self._push_event(completion, _COMPLETE, session.session_id)
-            if cursor > t:
-                self.trace.add_span(
-                    "batch",
-                    category="serve",
-                    start_s=t,
-                    duration_s=cursor - t,
-                    instance=instance.instance_id,
-                    occupancy=len(batch),
-                )
-                self._push_event(cursor, _FREE, instance.instance_id)
-
-    def _dispatch_marginal(self, t: float) -> None:
-        """Config-aware dispatch: route each window to the instance that
-        minimizes its marginal virtual completion time.
-
-        One fleet-wide EDF slice (``batch_size`` per free instance) is
-        drained per dispatch; every window is then assigned — in EDF
-        order, so routing is a total order — to the free instance whose
-        queue-ahead plus service time on *that instance's config* is
-        smallest, with an energy tiebreak (:func:`choose_instance`,
-        pinned against a brute-force oracle by the conformance harness).
+        The slice holds ``batch_size`` requests per free instance. All of
+        its numerics run concurrently in wall time (one ``run_jobs``
+        call); virtual-time accounting then consumes the outcomes in EDF
+        order, so worker interleaving cannot change the result. Only
+        *which* free instance serves a window depends on the route (see
+        :meth:`_choose`); charging, spans, telemetry, and completion
+        scheduling are the same for both.
         """
         free = [inst for inst in self.pool if inst.free_at <= t]
         if not free or len(self.scheduler) == 0:
             return
-        requests = self.scheduler.next_requests(
-            self.profile.batch_size * len(free)
-        )
-        if not requests:
-            return
+        requests = self.scheduler.next_requests(self.profile.batch_size * len(free))
         self.telemetry.sample_queue_depth(t, len(self.scheduler))
+        outcomes = self._backend.run_jobs(requests)
 
-        # As in FIFO dispatch: all numerics run concurrently in wall
-        # time, and virtual-time accounting consumes them in EDF order.
-        # Routing happens after execution because the service time
-        # depends on the executed window's stats — which are themselves
-        # backend-invariant, so the routing decisions are too.
-        results = self._backend.run_jobs(list(requests))
-        result_by_seq = {outcome.seq: outcome for outcome in results}
-
-        cursors = {inst.instance_id: t for inst in free}
-        batches: dict[int, list] = {inst.instance_id: [] for inst in free}
-        for request in requests:
+        cursors = [t] * len(free)
+        batches: list[list] = [[] for _ in free]
+        for index, (request, outcome) in enumerate(zip(requests, outcomes)):
             session = self.sessions[request.session_id]
-            metrics = self.telemetry.session(session.session_id)
-            outcome = result_by_seq[request.seq]
             if not outcome.ok:
                 self.telemetry.errors += 1
                 session.on_complete()
                 session.maybe_drain()
                 continue
-            charges = [
-                inst.charge(
-                    outcome.stats,
-                    inst.config,
-                    request.iterations,
-                    request.reconfigured,
-                    problem=session.last_problem,
-                )
-                for inst in free
-            ]
-            energies = [
-                charge.compute_s * DEFAULT_POWER_MODEL.power(inst.config)
-                for inst, charge in zip(free, charges)
-            ]
-            pick = choose_instance(
-                t,
-                [cursors[inst.instance_id] for inst in free],
-                [charge.total_s for charge in charges],
-                energies,
+            pick, charge, energy = self._choose(
+                t, index, request, outcome, free, cursors
             )
-            instance, charge, energy = free[pick], charges[pick], energies[pick]
-            cursor = cursors[instance.instance_id]
+            instance, cursor = free[pick], cursors[pick]
             completion = cursor + charge.total_s
             self.trace.add_span(
                 "queue_wait",
@@ -678,6 +526,20 @@ class LocalizationService:
                 session=request.session_id,
                 frame=request.frame_id,
             )
+            if request.reconfigured:
+                # The reconfiguration rides the host link (the +3
+                # config bytes), so mark it with the transfer window.
+                self.trace.add_span(
+                    "reconfig",
+                    category="serve",
+                    start_s=cursor,
+                    duration_s=charge.transfer_s,
+                    depth=1,
+                    session=request.session_id,
+                    nd=request.config.nd,
+                    nm=request.config.nm,
+                    s=request.config.s,
+                )
             self.trace.add_span(
                 "service",
                 category="serve",
@@ -692,7 +554,7 @@ class LocalizationService:
                 config=instance.config_id,
             )
             self.telemetry.record_window(
-                metrics,
+                self.telemetry.session(session.session_id),
                 ready_time=request.ready_time,
                 dispatch_time=t,
                 completion_time=completion,
@@ -709,12 +571,13 @@ class LocalizationService:
                 session, charge.total_s, outcome.newest_position_error
             )
             instance.occupy(cursor, charge.total_s)
-            cursors[instance.instance_id] = completion
-            batches[instance.instance_id].append((request, outcome))
+            cursors[pick] = completion
+            batches[pick].append((request, outcome))
             self._push_event(completion, _COMPLETE, session.session_id)
 
-        for instance in free:
-            batch = batches[instance.instance_id]
+        # Errored windows occupy no instance, so they count toward no
+        # batch: occupancy and instance.batches see served windows only.
+        for instance, cursor, batch in zip(free, cursors, batches):
             if not batch:
                 continue
             self.telemetry.record_batch(len(batch))
@@ -723,12 +586,72 @@ class LocalizationService:
                 "batch",
                 category="serve",
                 start_s=t,
-                duration_s=cursors[instance.instance_id] - t,
+                duration_s=cursor - t,
                 instance=instance.instance_id,
                 occupancy=len(batch),
             )
             self._maybe_reconfigure(instance, batch)
             self._push_event(instance.free_at, _FREE, instance.instance_id)
+
+    def _choose(
+        self,
+        t: float,
+        index: int,
+        request: WindowRequest,
+        outcome: WindowOutcome,
+        free: list[AcceleratorInstance],
+        cursors: list[float],
+    ) -> tuple[int, ServiceCharge, float]:
+        """``(position in free, charge, energy)`` for one served window.
+
+        ``fifo`` fills the free instances in order, ``batch_size``
+        windows each. ``marginal`` charges the window on every free
+        instance and takes the one with the earliest marginal
+        completion, energy breaking ties (:func:`choose_instance`,
+        pinned against a brute-force oracle by the conformance harness).
+        Routing runs after execution because the service time depends on
+        the executed window's stats, which are backend-invariant, so the
+        decisions are too.
+        """
+        if self.profile.route == "fifo":
+            pick = index // self.profile.batch_size
+            return (pick, *self._charge(free[pick], request, outcome))
+        charged = [self._charge(inst, request, outcome) for inst in free]
+        pick = choose_instance(
+            t,
+            cursors,
+            [charge.total_s for charge, _ in charged],
+            [energy for _, energy in charged],
+        )
+        return (pick, *charged[pick])
+
+    def _charge(
+        self,
+        instance: AcceleratorInstance,
+        request: WindowRequest,
+        outcome: WindowOutcome,
+    ) -> tuple[ServiceCharge, float]:
+        """``(ServiceCharge, energy J)`` of one window on ``instance``.
+
+        A portfolio pool is heterogeneous: windows run on the instance's
+        own deployed config at that config's power. A homogeneous pool
+        keeps the runtime tier's choice: the request's config at the
+        clock-gated power of its iteration count (Sec. 6).
+        """
+        if self.portfolio_solution is not None:
+            config = instance.config
+            power = DEFAULT_POWER_MODEL.power(instance.config)
+        else:
+            config = request.config
+            power = self.reconfig.gated_power(request.iterations)
+        charge = instance.charge(
+            outcome.stats,
+            config,
+            request.iterations,
+            request.reconfigured,
+            problem=self.sessions[request.session_id].last_problem,
+        )
+        return charge, charge.compute_s * power
 
     def _maybe_reconfigure(self, instance: AcceleratorInstance, batch) -> None:
         """Between-batch partial reconfiguration on sustained drift.

@@ -11,8 +11,10 @@ stdout.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
+
+from repro.errors import ServeError
 
 # The log-binned histogram lives in repro.obs.metrics now — one
 # implementation for the whole stack; this re-export keeps the serve
@@ -74,7 +76,7 @@ class ConfigMetrics:
 
     Keyed by the stable ``HardwareConfig.label`` config id, so the same
     design point aggregates across instances — and, through
-    :func:`repro.serve.fleet.merge_shard_metrics`, across shards.
+    :meth:`merge`, across shards.
     """
 
     config_id: str
@@ -95,6 +97,13 @@ class ConfigMetrics:
             "reconfig_seconds": self.reconfig_seconds,
             "reconfig_energy_j": self.reconfig_energy_j,
         }
+
+    def merge(self, other: "ConfigMetrics") -> "ConfigMetrics":
+        """Add ``other``'s counters into this one. Returns self."""
+        for counter in fields(self)[1:]:  # every field after config_id
+            name = counter.name
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+        return self
 
 
 class Telemetry:
@@ -198,13 +207,60 @@ class Telemetry:
         session.windows_shed += 1
         self.end_time_s = max(self.end_time_s, t)
 
+    def _depth_area(self) -> float:
+        """Queue-depth integral over the run, closed at ``end_time_s``."""
+        area = self._depth_integral
+        if self.end_time_s > self._last_depth_t:
+            area += self._last_depth * (self.end_time_s - self._last_depth_t)
+        return area
+
     def queue_depth_mean(self) -> float:
         if self.end_time_s <= 0:
             return 0.0
-        integral = self._depth_integral
-        if self.end_time_s > self._last_depth_t:
-            integral += self._last_depth * (self.end_time_s - self._last_depth_t)
-        return integral / self.end_time_s
+        return self._depth_area() / self.end_time_s
+
+    def merge(self, other: "Telemetry") -> "Telemetry":
+        """Fold a finished run's telemetry into this one. Returns self.
+
+        The fold is the fleet rollup: shards own disjoint session sets
+        and run side by side on the same virtual clock. So counters,
+        per-config lines, batch sizes, and histogram bins add; sessions
+        join as a union; the makespan is the latest end; and the depth
+        integrals add, so the mean depth over the shared horizon is that
+        of the summed queues. ``queue_depth_max`` is the deepest single
+        queue. ``other`` is left untouched; ``self`` is a finished value
+        afterwards and takes no further samples.
+        """
+        for mine, theirs in (
+            (self.latency, other.latency),
+            (self.queue_wait, other.queue_wait),
+            (self.service, other.service),
+        ):
+            mine.merge(theirs)
+        for size, count in other.batch_occupancy.items():
+            self.batch_occupancy[size] = self.batch_occupancy.get(size, 0) + count
+        self.windows_served += other.windows_served
+        self.windows_shed += other.windows_shed
+        self.windows_degraded += other.windows_degraded
+        self.deadline_misses += other.deadline_misses
+        self.errors += other.errors
+        self.reconfigurations += other.reconfigurations
+        self.reconfig_energy_j += other.reconfig_energy_j
+        for session_id, metrics in other.sessions.items():
+            if session_id in self.sessions:
+                raise ServeError(
+                    f"session {session_id} appears in two merged runs; "
+                    "shards must own disjoint session sets"
+                )
+            self.sessions[session_id] = replace(metrics)
+        for config_id, metrics in other.configs.items():
+            self.config(config_id).merge(metrics)
+        self._depth_integral = self._depth_area() + other._depth_area()
+        self._last_depth = 0
+        self.queue_depth_max = max(self.queue_depth_max, other.queue_depth_max)
+        self.end_time_s = max(self.end_time_s, other.end_time_s)
+        self._last_depth_t = self.end_time_s
+        return self
 
     def to_registry(self) -> MetricsRegistry:
         """Snapshot this run as a :class:`repro.obs.MetricsRegistry`.

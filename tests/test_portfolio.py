@@ -17,7 +17,6 @@ The load-bearing properties:
 """
 
 import json
-from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -401,6 +400,16 @@ class TestServeIntegration:
         assert swapped.reconfig_energy_j > 0
         assert swapped.reconfig_seconds == pytest.approx(
             instance.free_at - before
+        )
+
+    def test_fifo_route_reconfigures_too(self):
+        """Drift reconfiguration runs after every batch on both routes."""
+        metrics = run_service(
+            portfolio_profile(route="fifo", num_instances=4, reconfig_after=1)
+        ).metrics
+        assert metrics["totals"]["reconfigurations"] >= 1
+        assert sum(i["reconfigurations"] for i in metrics["instances"]) == (
+            metrics["totals"]["reconfigurations"]
         )
 
     def test_reconfig_run_is_deterministic(self):

@@ -1,9 +1,14 @@
 """Tests for the multi-session serving tier (``repro.serve``)."""
 
 import json
+from dataclasses import replace
+from functools import reduce
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import repro.serve.service as service_module
 from repro.engine import Engine
 from repro.errors import ConfigurationError, ServeError
 from repro.serve import (
@@ -13,13 +18,16 @@ from repro.serve import (
     LocalizationService,
     Scheduler,
     Telemetry,
+    WindowOutcome,
     WindowRequest,
     available_profiles,
     open_loop_arrivals,
     resolve_profile,
     session_sequence_config,
 )
+from repro.serve.backend import ThreadBackend
 from repro.serve.session import SessionState
+from repro.serve.telemetry import export_metrics
 
 
 def make_request(seq, deadline=1.0, session_id=0, degraded=False):
@@ -121,16 +129,16 @@ class TestScheduler:
         scheduler.push(make_request(1, deadline=3.0))
         scheduler.push(make_request(2, deadline=1.0))
         scheduler.push(make_request(3, deadline=2.0))
-        first = scheduler.next_batch()
+        first = scheduler.next_requests(scheduler.batch_size)
         assert [r.deadline for r in first] == [1.0, 2.0]
-        assert [r.deadline for r in scheduler.next_batch()] == [3.0]
-        assert scheduler.next_batch() == []
+        assert [r.deadline for r in scheduler.next_requests(2)] == [3.0]
+        assert scheduler.next_requests(2) == []
 
     def test_equal_deadlines_break_ties_by_submission_order(self):
         scheduler = Scheduler(batch_size=4)
         for seq in (5, 2, 9):
             scheduler.push(make_request(seq, deadline=1.0))
-        assert [r.seq for r in scheduler.next_batch()] == [2, 5, 9]
+        assert [r.seq for r in scheduler.next_requests(4)] == [2, 5, 9]
 
 
 class TestTelemetry:
@@ -157,6 +165,169 @@ class TestTelemetry:
         telemetry.end_time_s = 4.0
         assert telemetry.queue_depth_mean() == pytest.approx(2.0)
         assert telemetry.queue_depth_max == 4
+
+
+_TIMES = st.floats(min_value=0.0, max_value=5.0, allow_nan=False)
+_POSITIVE = st.floats(min_value=1e-5, max_value=1.0, allow_nan=False)
+_CONFIG_IDS = st.sampled_from(["", "cfg-a", "cfg-b"])
+
+# One Telemetry call per element. Sessions are routed to a part by id
+# (shards own disjoint session sets); the "part" field places the calls
+# that carry no session.
+_TELEMETRY_CALLS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("window"),
+            st.integers(0, 5),  # session
+            _TIMES,  # ready time
+            _TIMES,  # queue wait
+            _POSITIVE,  # service seconds
+            _POSITIVE,  # deadline slack
+            st.integers(1, 8),  # iterations
+            st.booleans(),  # degraded
+            st.booleans(),  # reconfigured
+            _TIMES,  # energy
+            _TIMES,  # drift
+            _CONFIG_IDS,
+        ),
+        st.tuples(st.just("shed"), st.integers(0, 5), _TIMES),
+        st.tuples(
+            st.just("reconfig"), st.integers(0, 3), _CONFIG_IDS, _POSITIVE, _POSITIVE
+        ),
+        st.tuples(st.just("depth"), st.integers(0, 3), _TIMES, st.integers(0, 9)),
+        st.tuples(st.just("batch"), st.integers(0, 3), st.integers(1, 4)),
+        st.tuples(st.just("error"), st.integers(0, 3)),
+    ),
+    max_size=40,
+)
+
+
+def _apply(telemetry, call):
+    kind = call[0]
+    if kind == "window":
+        _, sid, ready, wait, service, slack, iters, degraded, reconf, energy, drift, cid = call
+        telemetry.record_window(
+            telemetry.session(sid, f"seq{sid}"),
+            ready_time=ready,
+            dispatch_time=ready + wait,
+            completion_time=ready + wait + service,
+            deadline=ready + slack,
+            iterations=iters,
+            degraded=degraded,
+            reconfigured=reconf,
+            energy_j=energy,
+            drift_m=drift,
+            config_id=cid,
+            service_s=service,
+        )
+    elif kind == "shed":
+        _, sid, t = call
+        telemetry.record_shed(telemetry.session(sid, f"seq{sid}"), t)
+    elif kind == "reconfig":
+        telemetry.record_reconfig(call[2] or "cfg-a", call[3], call[4])
+    elif kind == "batch":
+        telemetry.record_batch(call[2])
+    elif kind == "error":
+        telemetry.errors += 1
+
+
+def _assert_folded(actual, expected, path="metrics"):
+    """Integers (counters, bins, counts) exactly; floats to rel 1e-12."""
+    if isinstance(expected, dict):
+        assert sorted(actual) == sorted(expected), path
+        for key in expected:
+            _assert_folded(actual[key], expected[key], f"{path}.{key}")
+    elif isinstance(expected, list):
+        assert len(actual) == len(expected), path
+        for index, (a, e) in enumerate(zip(actual, expected)):
+            _assert_folded(a, e, f"{path}[{index}]")
+    elif isinstance(expected, float):
+        assert actual == pytest.approx(expected, rel=1e-12, abs=0.0), path
+    else:
+        assert type(actual) is type(expected) and actual == expected, path
+
+
+class TestTelemetryFold:
+    @given(_TELEMETRY_CALLS, st.integers(1, 4))
+    def test_fold_of_a_split_stream_matches_one_telemetry(self, calls, k):
+        """Splitting a stream of telemetry calls over k shards and folding
+        the shards gives the telemetry of the whole stream.
+
+        Each shard's queue-depth samples run on its own clock and drain
+        to zero, as a finished shard's queue does; the fleet's mean depth
+        is then that of the summed queues, and its peak the deepest
+        single queue."""
+        parts = [Telemetry() for _ in range(k)]
+        whole = Telemetry()
+        samples: list[list[tuple[float, int]]] = [[] for _ in range(k)]
+        for call in calls:
+            if call[0] == "depth":
+                _, part, dt, depth = call
+                clock = samples[part % k][-1][0] if samples[part % k] else 0.0
+                samples[part % k].append((clock + dt, depth))
+                continue
+            owner = call[1] % k
+            _apply(parts[owner], call)
+            _apply(whole, call)
+        for part, series in zip(parts, samples):
+            if series:
+                series.append((series[-1][0], 0))
+            for t, depth in series:
+                part.sample_queue_depth(t, depth)
+        # The whole stream sees the summed depth of every shard's queue.
+        # (A stable sort on time keeps each shard's same-instant samples
+        # in the order that shard took them.)
+        current = [0] * k
+        for t, part, depth in sorted(
+            (
+                (t, part, depth)
+                for part, series in enumerate(samples)
+                for t, depth in series
+            ),
+            key=lambda sample: sample[0],
+        ):
+            current[part] = depth
+            whole.sample_queue_depth(t, sum(current))
+
+        folded = reduce(Telemetry.merge, parts, Telemetry())
+        expected = whole.as_dict()
+        actual = folded.as_dict()
+        assert actual["queue"].pop("depth_max") == max(
+            (depth for series in samples for _, depth in series), default=0
+        )
+        expected["queue"].pop("depth_max")
+        _assert_folded(actual, expected)
+        assert folded.end_time_s == whole.end_time_s
+
+    def test_fold_rejects_a_session_in_two_parts(self):
+        a, b = Telemetry(), Telemetry()
+        a.record_shed(a.session(3), 0.1)
+        b.record_shed(b.session(3), 0.2)
+        with pytest.raises(ServeError, match="session 3"):
+            a.merge(b)
+
+    def test_fold_leaves_its_parts_untouched(self):
+        part = Telemetry()
+        part.record_window(
+            part.session(0),
+            ready_time=0.0,
+            dispatch_time=0.1,
+            completion_time=0.2,
+            deadline=1.0,
+            iterations=4,
+            degraded=False,
+            reconfigured=False,
+            energy_j=0.5,
+            drift_m=0.01,
+            config_id="cfg-a",
+            service_s=0.1,
+        )
+        before = json.dumps(part.as_dict(), sort_keys=True)
+        folded = Telemetry().merge(part)
+        folded.merge(Telemetry())
+        folded.sessions[0].windows_served += 1
+        folded.configs["cfg-a"].windows_served += 1
+        assert json.dumps(part.as_dict(), sort_keys=True) == before
 
 
 class TestSessionStateMachine:
@@ -260,6 +431,61 @@ class TestServeRuns:
         report = run_mini(mini_profile(num_sessions=2))
         path = report.write_metrics(tmp_path / "SERVE_METRICS.json")
         assert json.loads(path.read_text()) == report.metrics
+
+
+class _FailFirstWindow:
+    """A thread backend whose first executed window comes back as a
+    typed solver failure (the numerics still ran, as a real failure
+    mid-solve would leave them)."""
+
+    def __init__(self, workers):
+        self._inner = ThreadBackend(workers)
+        self._failed = False
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def run_jobs(self, jobs):
+        outcomes = self._inner.run_jobs(jobs)
+        if not self._failed:
+            self._failed = True
+            outcomes[0] = WindowOutcome.from_error(jobs[0], ServeError("injected"))
+        return outcomes
+
+
+class TestDispatchRoutes:
+    """FIFO and marginal dispatch are one loop with a route chooser: the
+    charging rule, the error rule, and the batch accounting are shared."""
+
+    def test_routes_agree_when_there_is_no_choice(self, tmp_path):
+        """On one homogeneous instance both routes charge the runtime
+        tier's config at its gated power, so the runs are identical."""
+        engine = Engine(use_disk=False)
+        files = []
+        for route in ("fifo", "marginal"):
+            profile = replace(resolve_profile("smoke"), num_instances=1, route=route)
+            metrics = LocalizationService(profile, engine=engine).run().metrics
+            del metrics["profile"], metrics["cache"]
+            files.append(export_metrics(metrics, tmp_path / f"{route}.json"))
+        assert files[0].read_bytes() == files[1].read_bytes()
+
+    @pytest.mark.parametrize("route", ["fifo", "marginal"])
+    def test_errored_windows_count_toward_no_batch(self, monkeypatch, route):
+        monkeypatch.setattr(
+            service_module, "make_backend", lambda name, workers: _FailFirstWindow(workers)
+        )
+        report = run_mini(mini_profile(route=route))
+        metrics = report.metrics
+        totals, scheduler = metrics["totals"], metrics["scheduler"]
+        dispatched = scheduler["accepted"] + scheduler["degraded"]
+        assert totals["errors"] == 1
+        assert totals["windows_served"] + totals["errors"] == dispatched
+        batches = metrics["batches"]
+        batched = sum(
+            int(size) * count for size, count in batches["occupancy_histogram"].items()
+        )
+        assert batched == totals["windows_served"]
+        assert sum(i["batches"] for i in metrics["instances"]) == batches["count"]
 
 
 class TestServeTraces:
